@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet staticcheck race bench-serve bench-telemetry bench-baseline bench-guard smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
+.PHONY: all build test vet staticcheck race cpu-matrix bench-serve bench-telemetry bench-baseline bench-guard smoke-trace smoke-chaos smoke-cluster smoke-obs smoke-quality smoke-rollout smoke-batch ci check
 
 all: check
 
@@ -25,12 +25,12 @@ smoke-trace:
 		-ps-workers 2 -trace /tmp/smoke.trace.json
 	python3 -c "import json; e=json.load(open('/tmp/smoke.trace.json')); assert e, 'empty'; print('ok:', len(e), 'events')"
 
-# The CI chaos-smoke job locally: a 2-worker run over a loopback RPC
-# parameter server with injected errors, delays, and connection drops
-# must print exactly the same per-domain AUC table as a clean run (the
-# retries are idempotent and SyncPush fixes the delta-apply order), and
-# the bit-exact version of the same property is asserted by the chaos
-# determinism tests.
+# The CI chaos-smoke job locally: a 2-worker run against the 1-shard
+# cluster lifted onto a loopback RPC socket, with injected errors,
+# delays, and connection drops, must print exactly the same per-domain
+# AUC table as a clean in-process run (the retries are idempotent and
+# SyncPush fixes the delta-apply order), and the bit-exact version of
+# the same property is asserted by the chaos determinism tests.
 smoke-chaos:
 	$(GO) run ./cmd/mamdr-train -preset taobao-10 -samples 2000 -epochs 3 \
 		-ps-workers 2 -ps-sync-push -seed 7 \
@@ -256,6 +256,12 @@ race:
 	$(GO) test -race -count=1 ./internal/ps/... ./internal/cluster/... ./internal/serve/... \
 		./internal/batch/... ./internal/quant/...
 
+# Admission, coalescing, rollout and PS sync must behave the same at
+# any core count, not only on the machine a change was measured on.
+cpu-matrix:
+	$(GO) test -cpu 1,2,4 -count=3 ./internal/serve ./internal/batch ./internal/rollout \
+		./internal/cluster ./internal/ps
+
 bench-serve:
 	$(GO) test ./internal/serve -run xxx -bench ServeThroughput -benchtime 2s
 
@@ -304,6 +310,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(MAKE) cpu-matrix
 	$(MAKE) smoke-chaos
 	$(MAKE) smoke-cluster
 	$(MAKE) smoke-obs
@@ -311,4 +318,4 @@ ci:
 	$(MAKE) smoke-rollout
 	$(MAKE) smoke-batch
 
-check: vet build test race
+check: vet build test race cpu-matrix

@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -83,7 +82,7 @@ func main() {
 		rolloutLabeled = flag.Int("rollout-min-labeled", 0, "labeled observations per arm before the AUC/logloss gates may decide (0 = default 200)")
 		rolloutScores  = flag.Int("rollout-min-scores", 0, "served scores per arm before the PSI gate may decide (0 = default 500)")
 		rolloutMaxWait = flag.Duration("rollout-max-wait", 0, "fail-safe: a canary still unproven after this long is rolled back (0 = default 10m)")
-		maxQueue       = flag.Int("max-queue", 0, "admission control: shed predictions once this many queue beyond the replica pool (0 = 4×replicas)")
+		maxQueue       = flag.Int("max-queue", 0, "admission control: shed predictions once this many queue beyond the replica pool (0 = no fixed bound: shed only when the queue's projected drain time passes -timeout)")
 		serveFaults    = flag.String("serve-faults", "", "serving-path fault schedule (op:kind@occurrences; ops: Predict, PublishSource, UpstreamPing, UpstreamSnapshot), seeded by -seed")
 
 		batchMax      = flag.Int("batch-max", 0, "coalesce concurrent /predict requests into micro-batches of at most this many rows sharing one batched forward (0 = off, one forward per request)")
@@ -138,7 +137,7 @@ func main() {
 	// POST /admin/publish {"source":"upstream"} pulls fresh snapshots.
 	var upstream *serve.Upstream
 	if *psAddrs != "" {
-		groups := parseShardAddrs(*psAddrs)
+		groups := cluster.ParseAddrs(*psAddrs)
 		if len(groups) == 0 {
 			log.Fatal("-ps-addrs: no addresses given")
 		}
@@ -395,25 +394,6 @@ func pickEpochs2(checkpoint, psAddrs string, epochs int) int {
 		return 1
 	}
 	return epochs
-}
-
-// parseShardAddrs splits "a,b,c" into per-shard address groups; the
-// replicas of one shard are joined with '|' ("a0|a1,b0|b1") — the same
-// syntax mamdr-train's -ps-serve/-ps-addrs use.
-func parseShardAddrs(s string) [][]string {
-	var out [][]string
-	for _, shard := range strings.Split(s, ",") {
-		var reps []string
-		for _, a := range strings.Split(shard, "|") {
-			if a = strings.TrimSpace(a); a != "" {
-				reps = append(reps, a)
-			}
-		}
-		if len(reps) > 0 {
-			out = append(out, reps)
-		}
-	}
-	return out
 }
 
 // shardProber dials one probe client per shard replica and returns the

@@ -6,8 +6,8 @@
 //	mamdr-train -preset taobao-10 -model mlp -framework mamdr -epochs 15
 //	mamdr-train -data my_dataset.json -model star -framework alternate
 //	mamdr-train -metrics-addr :9090 -events run.jsonl     # observability
-//	mamdr-train -ps-workers 4                             # distributed PS-Worker run
-//	mamdr-train -ps-workers 4 -ps-shards 3                # partitioned PS cluster (in-process shards)
+//	mamdr-train -ps-workers 4                             # distributed PS-Worker run (1-shard cluster)
+//	mamdr-train -ps-workers 4 -ps-shards 3                # 3-shard PS cluster (in-process shards)
 //	mamdr-train -ps-serve  127.0.0.1:7001,127.0.0.1:7002  # host the shard servers and block
 //	mamdr-train -ps-workers 4 -ps-addrs 127.0.0.1:7001,127.0.0.1:7002   # train against them
 package main
@@ -77,9 +77,9 @@ func main() {
 		flightDump  = flag.String("flight-dump", "", "flight-recorder dump path prefix for anomalies (default <trace>.flight when -trace is set)")
 
 		psWorkers = flag.Int("ps-workers", 0, "run distributed PS-Worker training with this many workers (0 = single process; mamdr framework only)")
-		psShards  = flag.Int("ps-shards", 1, "partition the parameter server across this many cluster shards (>1 = multi-PS mode; training is bit-identical across shard counts)")
+		psShards  = flag.Int("ps-shards", 1, "partition the parameter server across this many cluster shards (training is bit-identical across shard counts)")
 		psCache   = flag.Bool("ps-cache", true, "enable the PS-Worker embedding cache (§IV-E) for -ps-workers")
-		psFaults  = flag.String("ps-faults", "", `fault-injection schedule for -ps-workers chaos runs, e.g. "PushDelta:err@p0.05; PullRows:delay=10ms@*" (seeded by -seed + worker id)`)
+		psFaults  = flag.String("ps-faults", "", `fault-injection schedule for -ps-workers chaos runs, e.g. "PushDelta:err@p0.05; PullRows:delay=10ms@*": shards serve over loopback RPC and every worker's per-shard client injects faults (seeded by -seed, worker, shard and replica)`)
 		psSync    = flag.Bool("ps-sync-push", false, "apply worker deltas serially per epoch for bit-reproducible distributed runs")
 
 		psAddrs  = flag.String("ps-addrs", "", "comma-separated addresses of running shard servers to train against (replicas of one shard joined with '|'); see -ps-serve")
@@ -216,26 +216,18 @@ func main() {
 		pred            framework.Predictor
 	)
 	if *psWorkers > 0 {
-		// An explicit -ps-shards — even "-ps-shards 1" — opts into the
-		// cluster path, so shard-scaling experiments can compare the
-		// same code path (and the same telemetry series) at 1/2/4
-		// shards. Leaving the flag unset keeps the plain single-server
-		// deployment.
-		shards := *psShards
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "ps-shards" && shards == 1 {
-				shards = -1 // cluster mode, one shard
-			}
-		})
 		fmt.Printf("training %s with distributed mamdr (%d workers, %d shards, cache=%v) for %d epochs...\n",
 			*model, *psWorkers, *psShards, *psCache, *epochs)
-		valAUC, testAUC, pred = trainDistributed(ds, *model, trainOpts{
-			workers: *psWorkers, shards: shards, replicas: *replicas, cache: *psCache,
+		valAUC, testAUC, pred, err = trainDistributed(ds, *model, trainOpts{
+			workers: *psWorkers, shards: *psShards, replicas: *replicas, cache: *psCache,
 			epochs: *epochs, batch: *batch, innerLR: *innerLR, outerLR: *outerLR,
 			drLR: *drLR, sampleK: *sampleK, embDim: *embDim, seed: *seed,
 			faults: *psFaults, syncPush: *psSync, addrs: *psAddrs,
 			checkpointDir: *checkpointDir, checkpointEvery: *checkpointEvery, resume: *resume,
 		}, reg, events, tracer)
+		if err != nil {
+			log.Fatal(err)
+		}
 	} else {
 		fmt.Printf("training %s with %s for %d epochs...\n", *model, *fw, *epochs)
 		res, err := mamdr.Train(mamdr.TrainSpec{
@@ -339,31 +331,13 @@ type trainOpts struct {
 	resume          bool
 }
 
-// parseShardAddrs splits "a,b,c" into per-shard address groups; the
-// replicas of one shard are joined with '|' ("a0|a1,b0|b1").
-func parseShardAddrs(s string) [][]string {
-	var out [][]string
-	for _, shard := range strings.Split(s, ",") {
-		var reps []string
-		for _, a := range strings.Split(shard, "|") {
-			if a = strings.TrimSpace(a); a != "" {
-				reps = append(reps, a)
-			}
-		}
-		if len(reps) > 0 {
-			out = append(out, reps)
-		}
-	}
-	return out
-}
-
 // serveCluster hosts the parameter-server shards of the given model on
 // the listed addresses and blocks. The partition plan is derived from
 // the model layout and -seed, exactly as the training side derives it,
 // so both ends agree on which shard owns which slice (cluster.Dial
 // verifies the layouts and refuses a mismatched cluster).
 func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed int64, outerLR float64, checkpointDir string, tracer *trace.Tracer, reg *telemetry.Registry) {
-	groups := parseShardAddrs(addrSpec)
+	groups := cluster.ParseAddrs(addrSpec)
 	if len(groups) == 0 {
 		log.Fatal("-ps-serve: no addresses given")
 	}
@@ -409,7 +383,7 @@ func serveCluster(ds *mamdr.Dataset, model, addrSpec string, embDim int, seed in
 // deployment shape) with full telemetry: PS traffic, cache hit ratio,
 // row staleness, the per-domain training series from every worker, and
 // (with a tracer) one trace per worker epoch plus anomaly watching.
-func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemetry.Registry, events *telemetry.EventLog, tracer *trace.Tracer) (val, test []float64, st *core.State) {
+func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemetry.Registry, events *telemetry.EventLog, tracer *trace.Tracer) (val, test []float64, st *core.State, err error) {
 	replica := func() models.Model {
 		return models.MustNew(model, models.Config{Dataset: ds, EmbDim: o.embDim, Seed: o.seed})
 	}
@@ -446,28 +420,14 @@ func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemet
 	}
 	if o.checkpointDir != "" {
 		if err := os.MkdirAll(o.checkpointDir, 0o755); err != nil {
-			log.Fatal(err)
+			return nil, nil, nil, err
 		}
-		opts.CheckpointPath = filepath.Join(o.checkpointDir, "ps.ckpt")
 		opts.CheckpointEvery = o.checkpointEvery
 		opts.Resume = o.resume
 	}
-	var res *ps.Result
-	switch {
-	case o.addrs != "" || o.shards != 1 || o.replicas > 1:
-		// Multi-PS mode: the parameter space is partitioned across
-		// cluster shards (in-process, or the remote servers behind
-		// -ps-addrs) and a scatter-gather router fronts them.
-		res = trainCluster(ds, replica, o, opts, reg, tracer)
-	case o.faults == "":
-		res = ps.Train(replica, ds, opts)
-	default:
-		// Chaos mode: the PS serves over a real loopback RPC socket and
-		// every worker talks through its own client armed with a seeded
-		// fault injector, so the injected errors, delays, and connection
-		// drops hit the retry/idempotency machinery exactly like network
-		// faults would. Deterministic under a fixed -seed.
-		res = trainChaos(ds, replica, o, opts, reg)
+	res, err := trainCluster(ds, replica, o, opts, reg, tracer)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	c := res.Counters
 	log.Printf("PS traffic: %d dense pulls, %d dense pushes, %d row pulls, %d row pushes, %d floats moved",
@@ -478,23 +438,24 @@ func trainDistributed(ds *mamdr.Dataset, model string, o trainOpts, reg *telemet
 	if res.WorkerDeaths > 0 {
 		log.Printf("supervision: %d worker death(s); domains redistributed to survivors", res.WorkerDeaths)
 	}
-	return framework.EvaluateAUC(res.State, ds, data.Val), framework.EvaluateAUC(res.State, ds, data.Test), res.State
+	return framework.EvaluateAUC(res.State, ds, data.Val), framework.EvaluateAUC(res.State, ds, data.Test), res.State, nil
 }
 
 // trainCluster runs the distributed trainer against a partitioned
-// parameter-server cluster: N shards each owning a deterministic slice
-// of the parameter space, fronted by a scatter-gather router. Three
-// deployments share this code path:
+// parameter-server cluster: N shards (1 by default) each owning a
+// deterministic slice of the parameter space, fronted by a
+// scatter-gather router. Three deployments share this code path and
+// differ only in the stores it builds:
 //
-//   - in-process shards (-ps-shards N): everything in this binary;
+//   - in-process shards (the default): everything in this binary;
 //   - remote shards (-ps-addrs): each worker dials every shard server;
-//   - chaos (-ps-faults with either): in-process shards are lifted onto
-//     loopback sockets and every worker's per-shard clients carry a
-//     seeded fault injector, so faults hit each shard independently.
+//   - chaos (-ps-faults): in-process shards are lifted onto loopback
+//     sockets and every worker's per-shard clients carry a seeded fault
+//     injector, so faults hit each shard independently.
 //
 // The partition plan is a pure function of (layout, shards, seed), so
 // with -ps-sync-push the run is bit-identical across shard counts.
-func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, opts ps.Options, reg *telemetry.Registry, tracer *trace.Tracer) *ps.Result {
+func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, opts ps.Options, reg *telemetry.Registry, tracer *trace.Tracer) (*ps.Result, error) {
 	filled := opts.WithDefaults()
 	serving := replica()
 	tables := models.EmbeddingTablesOf(serving)
@@ -502,7 +463,9 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, o
 	shards := o.shards
 	var groups [][]string
 	if o.addrs != "" {
-		groups = parseShardAddrs(o.addrs)
+		if groups = cluster.ParseAddrs(o.addrs); len(groups) == 0 {
+			return nil, fmt.Errorf("-ps-addrs %q names no address", o.addrs)
+		}
 		shards = len(groups)
 	}
 	plan := ps.NewPlan(ps.LayoutOf(serving.Parameters(), tables), shards, o.seed)
@@ -525,29 +488,33 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, o
 		}
 	}
 
-	if groups == nil && o.faults == "" {
-		// Fully in-process: workers share one router over the shard
-		// servers, no sockets involved.
-		so := cluster.ShardOptions{
-			Replicas: o.replicas, OuterOpt: filled.OuterOpt, OuterLR: filled.OuterLR,
-			CheckpointPath: opts.CheckpointPath, Tracer: tracer,
-		}
-		local := cluster.NewLocal(serving.Parameters(), plan, so, ro)
-		return ps.TrainWithStore(replica, serving, local.Router, local.Router, ds, opts)
-	}
-
 	if groups == nil {
-		// Chaos over a cluster: lift the in-process shards onto loopback
-		// sockets so the injected faults exercise the real per-shard
-		// RPC retry/idempotency path.
+		// Self-hosted shards: the checkpoint files live in this
+		// process's -checkpoint-dir.
 		so := cluster.ShardOptions{
 			Replicas: o.replicas, OuterOpt: filled.OuterOpt, OuterLR: filled.OuterLR,
-			CheckpointPath: opts.CheckpointPath, Tracer: tracer,
+			Tracer: tracer, Metrics: opts.Metrics,
 		}
-		servers := cluster.Shards(serving.Parameters(), plan, so)
-		addrs, closeAll, err := cluster.ServeTCP(servers)
+		if o.checkpointDir != "" {
+			so.CheckpointPath = filepath.Join(o.checkpointDir, "ps.ckpt")
+			if o.resume {
+				if err := refuseStripedCheckpoint(so.CheckpointPath, shards); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if o.faults == "" {
+			// Fully in-process: workers share one router over the shard
+			// servers, no sockets involved.
+			local := cluster.NewLocal(serving.Parameters(), plan, so, ro)
+			return ps.TrainWithStore(replica, serving, local.Router, local.Router, ds, opts), nil
+		}
+		// Chaos: lift the in-process shards onto loopback sockets so the
+		// injected faults exercise the real per-shard RPC
+		// retry/idempotency path.
+		addrs, closeAll, err := cluster.ServeTCP(cluster.Shards(serving.Parameters(), plan, so))
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		defer closeAll()
 		groups = addrs
@@ -561,7 +528,7 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, o
 	// so the reported numbers match an in-process run's.
 	base, err := cluster.Dial(plan, groups, clientCfg(-1), ro)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	var mu sync.Mutex
 	routers := []*cluster.Router{base}
@@ -598,7 +565,24 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, o
 		}
 		log.Printf("chaos: %d faults injected", injected)
 	}
-	return res
+	return res, nil
+}
+
+// refuseStripedCheckpoint fails a resume whose checkpoint directory
+// holds only base itself: the file the lock-striped single server
+// wrote, one parameter vector plus 4 stripe optimizer states. The
+// cluster restores from per-shard files (ps.ShardCheckpointPath), so
+// resuming past base would silently start fresh; its stripe states
+// cannot be mapped onto a shard's single optimizer either.
+func refuseStripedCheckpoint(base string, shards int) error {
+	if _, err := os.Stat(base); err != nil {
+		return nil
+	}
+	if _, err := os.Stat(ps.ShardCheckpointPath(base, 0, shards)); err == nil {
+		return nil
+	}
+	return fmt.Errorf("-resume: %s is a lock-striped single-server checkpoint, which the cluster trainer cannot restore "+
+		"(it resumes from %s); move it away to start fresh", base, ps.ShardCheckpointPath(base, 0, shards))
 }
 
 // counterFunc adapts a closure to the Counters source TrainWithStore
@@ -606,53 +590,3 @@ func trainCluster(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, o
 type counterFunc func() ps.Counters
 
 func (f counterFunc) Counters() ps.Counters { return f() }
-
-// trainChaos runs the distributed trainer against a loopback RPC
-// parameter server with per-worker fault injection — the CI chaos smoke
-// and local failure-drill entry point.
-func trainChaos(ds *mamdr.Dataset, replica func() models.Model, o trainOpts, opts ps.Options, reg *telemetry.Registry) *ps.Result {
-	filled := opts.WithDefaults()
-	serving := replica()
-	server := ps.NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), filled.Shards, filled.OuterOpt, filled.OuterLR)
-	server.SetMetrics(opts.Metrics)
-	server.SetTracer(opts.Tracer)
-	if opts.CheckpointPath != "" {
-		server.SetCheckpointPath(opts.CheckpointPath)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer lis.Close()
-	go ps.Serve(server, lis)
-
-	base, err := ps.Dial(lis.Addr().String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer base.Close()
-
-	var injectors []*faultinject.Injector
-	opts.WrapStore = func(workerID int, _ ps.Store) ps.Store {
-		cl, err := ps.Dial(lis.Addr().String())
-		if err != nil {
-			log.Fatal(err)
-		}
-		cl.SetBackoff(ps.Backoff{Seed: o.seed + int64(workerID)})
-		inj := faultinject.MustParse(o.faults, o.seed+int64(workerID))
-		inj.BindMetrics(reg)
-		cl.SetInjector(inj)
-		injectors = append(injectors, inj)
-		return cl
-	}
-	log.Printf("chaos: PS on %s, fault schedule %q", lis.Addr(), o.faults)
-	res := ps.TrainWithStore(replica, serving, base, base, ds, opts)
-	var injected int64
-	for _, inj := range injectors {
-		for _, n := range inj.Counts() {
-			injected += n
-		}
-	}
-	log.Printf("chaos: %d faults injected", injected)
-	return res
-}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mamdr/internal/cluster"
 	"mamdr/internal/core"
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
@@ -130,9 +131,15 @@ func TestDistributedMatchesLocalQuality(t *testing.T) {
 	})
 	localAUC := framework.MeanAUC(localPred, ds, data.Test)
 
-	res := ps.Train(func() models.Model {
+	replica := func() models.Model {
 		return models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{16, 8}, Seed: 5})
-	}, ds, ps.Options{Workers: 1, Epochs: 10, Seed: 9, CacheEnabled: true})
+	}
+	opts := ps.Options{Workers: 1, Epochs: 10, Seed: 9, CacheEnabled: true}.WithDefaults()
+	serving := replica()
+	layout := ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving))
+	one := cluster.NewLocal(serving.Parameters(), ps.NewPlan(layout, 1, 9),
+		cluster.ShardOptions{OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR}, cluster.Options{})
+	res := ps.TrainWithStore(replica, serving, one.Router, one.Router, ds, opts)
 	distAUC := framework.MeanAUC(res.State, ds, data.Test)
 
 	t.Logf("local DN AUC = %.4f, distributed DN AUC = %.4f", localAUC, distAUC)

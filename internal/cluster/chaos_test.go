@@ -52,7 +52,7 @@ func (k *killAfter) Counters() ps.Counters { return k.base.Counters() }
 func TestShardFailoverMatchesCleanRun(t *testing.T) {
 	ds := testDataset(t)
 	factory := replicaFactory(ds)
-	clean := ps.Train(factory, ds, deterministicOptions())
+	clean := singleServer(factory, ds, deterministicOptions())
 
 	serving := factory()
 	tables := models.EmbeddingTablesOf(serving)
@@ -146,7 +146,7 @@ func TestShardLossWithoutReplicaFailsLoudly(t *testing.T) {
 func TestClusterChaosOverRPCBitIdentical(t *testing.T) {
 	ds := testDataset(t)
 	factory := replicaFactory(ds)
-	clean := ps.Train(factory, ds, deterministicOptions())
+	clean := singleServer(factory, ds, deterministicOptions())
 
 	serving := factory()
 	tables := models.EmbeddingTablesOf(serving)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -156,5 +157,26 @@ func TestDialSnapshotExhaustsBudget(t *testing.T) {
 	}
 	if sleeps != 2 {
 		t.Fatalf("slept %d times between 3 attempts, want 2", sleeps)
+	}
+}
+
+func TestParseAddrs(t *testing.T) {
+	cases := []struct {
+		in   string
+		want [][]string
+	}{
+		{"", nil},
+		{"a:1", [][]string{{"a:1"}}},
+		{"a:1,b:2", [][]string{{"a:1"}, {"b:2"}}},
+		{"a0|a1,b0|b1", [][]string{{"a0", "a1"}, {"b0", "b1"}}},
+		{" a:1 | a:2 ,  b:2 ", [][]string{{"a:1", "a:2"}, {"b:2"}}},
+		{"a:1,,b:2,", [][]string{{"a:1"}, {"b:2"}}},
+		{"a0||a1, | ,b0", [][]string{{"a0", "a1"}, {"b0"}}},
+		{" , |", nil},
+	}
+	for _, c := range cases {
+		if got := ParseAddrs(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseAddrs(%q) = %q, want %q", c.in, got, c.want)
+		}
 	}
 }

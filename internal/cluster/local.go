@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 
 	"mamdr/internal/autograd"
 	"mamdr/internal/paramvec"
@@ -17,10 +18,6 @@ type ShardOptions struct {
 	// With R > 1 the router broadcasts writes to all replicas and fails
 	// reads over, so losing R-1 servers of a shard is survivable.
 	Replicas int
-	// Stripes is each server's internal lock-striping count (ps.NewServer's
-	// numShards argument — intra-server concurrency, distinct from the
-	// cluster's partition count).
-	Stripes int
 	// OuterOpt and OuterLR configure each shard's outer optimizer (Eq. 3).
 	OuterOpt string
 	OuterLR  float64
@@ -41,13 +38,10 @@ func (o ShardOptions) withDefaults() ShardOptions {
 	if o.Replicas < 1 {
 		o.Replicas = 1
 	}
-	if o.Stripes < 1 {
-		o.Stripes = 1
-	}
 	// Mirror ps.Options.WithDefaults so a shard server configured with
-	// zero values applies the same outer update a default single server
-	// would — a silently different outer learning rate on the serve side
-	// would break bit-identity with in-process runs.
+	// zero values applies the outer update the trainer's defaults name —
+	// a silently different outer learning rate on the serve side would
+	// break bit-identity with in-process runs.
 	if o.OuterOpt == "" {
 		o.OuterOpt = "sgd"
 	}
@@ -80,7 +74,7 @@ func Shards(params []*autograd.Tensor, plan ps.Plan, o ShardOptions) [][]*ps.Ser
 	for sh := 0; sh < plan.NumShards; sh++ {
 		tables := plan.ShardTables(sh)
 		for rep := 0; rep < o.Replicas; rep++ {
-			srv := ps.NewServer(plan.ShardParams(params, sh), tables, o.Stripes, o.OuterOpt, o.OuterLR)
+			srv := ps.NewServer(plan.ShardParams(params, sh), tables, o.OuterOpt, o.OuterLR)
 			if o.CheckpointPath != "" {
 				srv.SetCheckpointPath(ReplicaCheckpointPath(o.CheckpointPath, sh, plan.NumShards, rep))
 			}
@@ -150,6 +144,26 @@ func ServeTCP(servers [][]*ps.Server) ([][]string, func(), error) {
 		}
 	}
 	return addrs, closeAll, nil
+}
+
+// ParseAddrs parses the shard address syntax every binary shares:
+// shards separated by ',', the replicas of one shard joined with '|'
+// ("a0|a1,b0|b1"). Whitespace around an address is ignored, and blank
+// addresses and empty shard groups are dropped.
+func ParseAddrs(s string) [][]string {
+	var out [][]string
+	for _, shard := range strings.Split(s, ",") {
+		var reps []string
+		for _, a := range strings.Split(shard, "|") {
+			if a = strings.TrimSpace(a); a != "" {
+				reps = append(reps, a)
+			}
+		}
+		if len(reps) > 0 {
+			out = append(out, reps)
+		}
+	}
+	return out
 }
 
 // Dial connects to an already-serving shard cluster: addrs[sh] lists

@@ -38,10 +38,19 @@ func replicaFactory(ds *data.Dataset) func() models.Model {
 // must agree float for float.
 func deterministicOptions() ps.Options {
 	return ps.Options{
-		Workers: 2, Shards: 2, Epochs: 3, Seed: 9,
+		Workers: 2, Epochs: 3, Seed: 9,
 		CacheEnabled: true, SyncPush: true,
 		OuterOpt: "adagrad", OuterLR: 0.1,
 	}
+}
+
+// singleServer trains against one bare ps.Server — the single-server
+// reference every cluster deployment must match bit for bit.
+func singleServer(factory func() models.Model, ds *data.Dataset, opts ps.Options) *ps.Result {
+	opts = opts.WithDefaults()
+	serving := factory()
+	srv := ps.NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), opts.OuterOpt, opts.OuterLR)
+	return ps.TrainWithStore(factory, serving, srv, srv, ds, opts)
 }
 
 func requireSameVector(t *testing.T, name string, a, b paramvec.Vector) {
@@ -82,7 +91,7 @@ func TestClusterTrainingBitIdenticalAcrossShardCounts(t *testing.T) {
 	ds := testDataset(t)
 	factory := replicaFactory(ds)
 
-	clean := ps.Train(factory, ds, deterministicOptions())
+	clean := singleServer(factory, ds, deterministicOptions())
 
 	run := func(shards int) *ps.Result {
 		serving := factory()
@@ -119,7 +128,7 @@ func TestRouterMatchesSingleServerOps(t *testing.T) {
 		}
 	}
 	tables := map[int]int{0: 0, 2: 1}
-	single := ps.NewServer(params, tables, 2, "adagrad", 0.5)
+	single := ps.NewServer(params, tables, "adagrad", 0.5)
 	plan := ps.NewPlan(ps.LayoutOf(params, tables), 3, 7)
 	local := NewLocal(params, plan, ShardOptions{OuterOpt: "adagrad", OuterLR: 0.5}, Options{Parallelism: 2})
 

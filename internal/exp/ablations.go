@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"mamdr/internal/cluster"
 	"mamdr/internal/core"
 	"mamdr/internal/data"
 	"mamdr/internal/framework"
@@ -114,10 +115,15 @@ func AblationCache(s Scale) *Table {
 		return models.MustNew("mlp", modelConfig(ds, s.Seed))
 	}
 	run := func(cache bool) (float64, ps.Counters) {
-		res := ps.Train(replica, ds, ps.Options{
+		opts := ps.Options{
 			Workers: 4, Epochs: s.Epochs, Seed: s.Seed, CacheEnabled: cache,
 			BatchSize: s.BatchSize,
-		})
+		}.WithDefaults()
+		serving := replica()
+		layout := ps.LayoutOf(serving.Parameters(), models.EmbeddingTablesOf(serving))
+		local := cluster.NewLocal(serving.Parameters(), ps.NewPlan(layout, 1, s.Seed),
+			cluster.ShardOptions{OuterOpt: opts.OuterOpt, OuterLR: opts.OuterLR}, cluster.Options{})
+		res := ps.TrainWithStore(replica, serving, local.Router, local.Router, ds, opts)
 		return meanAUCOf(framework.EvaluateAUC(res.State, ds, data.Test)), res.Counters
 	}
 

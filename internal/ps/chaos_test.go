@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"mamdr/internal/autograd"
+	"mamdr/internal/core"
 	"mamdr/internal/faultinject"
 	"mamdr/internal/models"
+	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
 	"mamdr/internal/telemetry"
 	"mamdr/internal/trace"
@@ -24,7 +26,7 @@ import (
 // run must agree float for float.
 func chaosOptions() Options {
 	return Options{
-		Workers: 2, Shards: 2, Epochs: 3, Seed: 9,
+		Workers: 2, Epochs: 3, Seed: 9,
 		CacheEnabled: true, SyncPush: true,
 		OuterOpt: "adagrad", OuterLR: 0.1,
 	}
@@ -58,13 +60,13 @@ func TestChaosDeterminismOverRPC(t *testing.T) {
 	ds := testDataset(t)
 	factory := replicaFactory(ds)
 
-	clean := Train(factory, ds, chaosOptions())
+	clean := train(factory, ds, chaosOptions(), "")
 
 	// Faulty twin: same options, but every worker talks to the server
 	// through its own freshly dialed client armed with a seeded fault
 	// injector and a tight retry policy.
 	serving := factory()
-	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), 2, "adagrad", 0.1)
+	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "adagrad", 0.1)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +114,7 @@ func TestChaosDeterminismOverRPC(t *testing.T) {
 // when the replays race each other.
 func TestDuplicatePushAppliedExactlyOnce(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(2, 2)}
-	s := NewServer(params, nil, 1, "sgd", 1)
+	s := NewServer(params, nil, "sgd", 1)
 	reg := telemetry.New()
 	s.SetMetrics(NewMetrics(reg))
 
@@ -173,7 +175,7 @@ func TestWorkerLossRedistributesDomains(t *testing.T) {
 	tracer := trace.New(trace.Options{FlightPath: prefix})
 
 	opts := Options{
-		Workers: 2, Shards: 2, Epochs: 3, Seed: 9, CacheEnabled: true,
+		Workers: 2, Epochs: 3, Seed: 9, CacheEnabled: true,
 		Metrics: NewMetrics(reg), Tracer: tracer,
 	}
 	opts.WrapStore = func(workerID int, base Store) Store {
@@ -182,7 +184,7 @@ func TestWorkerLossRedistributesDomains(t *testing.T) {
 		}
 		return NewFaultyStore(base, faultinject.MustParse("PushDelta:err@*", 1))
 	}
-	res := Train(replicaFactory(ds), ds, opts)
+	res := train(replicaFactory(ds), ds, opts, "")
 
 	if res.WorkerDeaths != 1 {
 		t.Fatalf("WorkerDeaths = %d, want 1", res.WorkerDeaths)
@@ -226,7 +228,7 @@ func TestWorkerLossRedistributesDomains(t *testing.T) {
 func TestHeartbeatWatchdogCancelsStalledWorker(t *testing.T) {
 	ds := testDataset(t)
 	opts := Options{
-		Workers: 2, Shards: 2, Epochs: 1, Seed: 9, CacheEnabled: true,
+		Workers: 2, Epochs: 1, Seed: 9, CacheEnabled: true,
 		HeartbeatTimeout: 50 * time.Millisecond,
 	}
 	// Each delayed PullRows stalls well past the heartbeat budget; the
@@ -238,7 +240,7 @@ func TestHeartbeatWatchdogCancelsStalledWorker(t *testing.T) {
 		return NewFaultyStore(base, faultinject.MustParse("PullRows:delay=500ms@*", 1))
 	}
 	done := make(chan *Result, 1)
-	go func() { done <- Train(replicaFactory(ds), ds, opts) }()
+	go func() { done <- train(replicaFactory(ds), ds, opts, "") }()
 	select {
 	case res := <-done:
 		if res.WorkerDeaths != 1 {
@@ -258,20 +260,20 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 
 	full := chaosOptions()
 	full.Epochs = 6
-	want := Train(factory, ds, full)
+	want := train(factory, ds, full, "")
 
 	ckpt := filepath.Join(t.TempDir(), "ps.ckpt")
 
 	interrupted := chaosOptions()
 	interrupted.Epochs = 3 // the "crash" after epoch 3's checkpoint
-	interrupted.CheckpointPath, interrupted.CheckpointEvery = ckpt, 1
-	Train(factory, ds, interrupted)
+	interrupted.CheckpointEvery = 1
+	train(factory, ds, interrupted, ckpt)
 
 	resumed := chaosOptions()
 	resumed.Epochs = 6
-	resumed.CheckpointPath, resumed.CheckpointEvery = ckpt, 1
+	resumed.CheckpointEvery = 1
 	resumed.Resume = true
-	got := Train(factory, ds, resumed)
+	got := train(factory, ds, resumed, ckpt)
 
 	if got.ResumedFrom != 3 {
 		t.Fatalf("ResumedFrom = %d, want 3", got.ResumedFrom)
@@ -285,14 +287,31 @@ func TestResumeWithoutCheckpointStartsFresh(t *testing.T) {
 	ds := testDataset(t)
 	opts := chaosOptions()
 	opts.Epochs = 1
-	opts.CheckpointPath = filepath.Join(t.TempDir(), "ps.ckpt")
+	ckpt := filepath.Join(t.TempDir(), "ps.ckpt")
 	opts.CheckpointEvery = 1
 	opts.Resume = true
-	res := Train(replicaFactory(ds), ds, opts)
+	res := train(replicaFactory(ds), ds, opts, ckpt)
 	if res.ResumedFrom != -1 {
 		t.Fatalf("ResumedFrom = %d, want -1 (fresh start)", res.ResumedFrom)
 	}
-	if _, err := os.Stat(opts.CheckpointPath); err != nil {
+	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("checkpoint not written: %v", err)
+	}
+}
+
+// TestLoadCheckpointRefusesStripedState: a checkpoint carrying several
+// optimizer states (the retired lock-striped server's format) must be
+// refused with the file named, never half-restored.
+func TestLoadCheckpointRefusesStripedState(t *testing.T) {
+	params := []*autograd.Tensor{autograd.ParamZeros(2, 2)}
+	path := filepath.Join(t.TempDir(), "ps.ckpt")
+	striped := serverCheckpoint{Params: paramvec.Snapshot(params), Shards: make([]optim.State, 4), Epoch: 2}
+	if err := core.SaveGob(path, striped); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(params, nil, "sgd", 1)
+	s.SetCheckpointPath(path)
+	if _, err := s.LoadCheckpoint(); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("LoadCheckpoint = %v, want an error naming %s", err, path)
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 
-	"mamdr/internal/autograd"
 	"mamdr/internal/core"
 	"mamdr/internal/optim"
 	"mamdr/internal/paramvec"
@@ -14,7 +12,7 @@ import (
 
 // CheckpointStore is the optional capability the trainer uses for
 // epoch-boundary checkpointing: the store persists its full state
-// (parameters, per-shard outer-optimizer state, epoch cursor) to its
+// (parameters, outer-optimizer state, epoch cursor) to its
 // own configured location. The in-process Server and the RPC Client
 // both implement it; over RPC the snapshot lands on the server's disk,
 // which is what survives a worker-side crash.
@@ -30,8 +28,12 @@ type CheckpointStore interface {
 var _ CheckpointStore = (*Server)(nil)
 
 // serverCheckpoint is the gob payload of a PS checkpoint: every managed
-// tensor's values plus each shard's outer-optimizer state, aligned with
-// the shard's tensors in ascending tensor-index order.
+// tensor's values plus the outer optimizer's state over them in
+// ascending tensor-index order. Shards holds exactly one entry; the
+// field keeps its name and slice shape so checkpoints written by
+// earlier cluster shard servers still decode, while a multi-entry file
+// from the retired lock-striped server is refused rather than
+// half-restored.
 type serverCheckpoint struct {
 	Params paramvec.Vector
 	Shards []optim.State
@@ -42,42 +44,23 @@ type serverCheckpoint struct {
 // persist the server's snapshot. Set before serving traffic.
 func (s *Server) SetCheckpointPath(path string) { s.ckptPath = path }
 
-// shardParams returns shard sh's tensors in ascending tensor-index
-// order — the stable ordering optimizer state is serialized against.
-func (s *Server) shardParams(sh int) []*autograd.Tensor {
-	var idx []int
-	for t := range s.shards[sh].data {
-		idx = append(idx, t)
-	}
-	sort.Ints(idx)
-	out := make([]*autograd.Tensor, len(idx))
-	for i, t := range idx {
-		out[i] = s.shards[sh].data[t]
-	}
-	return out
-}
-
 // SaveCheckpoint implements CheckpointStore: it writes the server's
-// parameters, per-shard optimizer state, and the completed-epoch cursor
-// to the configured path crash-safely (temp file + fsync + rename,
-// CRC-guarded envelope). Shards are locked one at a time, so a snapshot
-// taken at an epoch boundary — when no pushes are in flight — is
-// globally consistent.
+// parameters, outer-optimizer state, and the completed-epoch cursor to
+// the configured path crash-safely (temp file + fsync + rename,
+// CRC-guarded envelope). Taken at an epoch boundary — when no pushes
+// are in flight — the snapshot is globally consistent.
 func (s *Server) SaveCheckpoint(epoch int) error {
 	if s.ckptPath == "" {
 		return errors.New("ps: no checkpoint path configured on the server")
 	}
 	ck := serverCheckpoint{Params: s.Snapshot(), Epoch: epoch}
-	for sh := range s.shards {
-		params := s.shardParams(sh)
-		s.shards[sh].mu.Lock()
-		if st, ok := s.shards[sh].opt.(optim.Stateful); ok {
-			ck.Shards = append(ck.Shards, st.CaptureState(params))
-		} else {
-			ck.Shards = append(ck.Shards, optim.State{})
-		}
-		s.shards[sh].mu.Unlock()
+	s.mu.Lock()
+	var st optim.State
+	if so, ok := s.opt.(optim.Stateful); ok {
+		st = so.CaptureState(s.data)
 	}
+	s.mu.Unlock()
+	ck.Shards = []optim.State{st}
 	return core.SaveGob(s.ckptPath, ck)
 }
 
@@ -98,35 +81,28 @@ func (s *Server) LoadCheckpoint() (int, error) {
 		return 0, err
 	}
 	if len(ck.Params) != s.layout.NumTensors() {
-		return 0, fmt.Errorf("ps: checkpoint has %d tensors, server manages %d", len(ck.Params), s.layout.NumTensors())
+		return 0, fmt.Errorf("ps: checkpoint %s has %d tensors, server manages %d", s.ckptPath, len(ck.Params), s.layout.NumTensors())
 	}
-	if len(ck.Shards) != len(s.shards) {
-		return 0, fmt.Errorf("ps: checkpoint has %d shards, server has %d", len(ck.Shards), len(s.shards))
+	if len(ck.Shards) != 1 {
+		return 0, fmt.Errorf("ps: checkpoint %s holds %d optimizer states, a server has one (written by the retired lock-striped server?)", s.ckptPath, len(ck.Shards))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for t, vals := range ck.Params {
+		if len(s.data[t].Data) != len(vals) {
+			return 0, fmt.Errorf("ps: checkpoint tensor %d has %d values, server tensor has %d", t, len(vals), len(s.data[t].Data))
+		}
 	}
 	for t, vals := range ck.Params {
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		if len(sh.data[t].Data) != len(vals) {
-			sh.mu.Unlock()
-			return 0, fmt.Errorf("ps: checkpoint tensor %d has %d values, server tensor has %d", t, len(vals), len(sh.data[t].Data))
-		}
-		copy(sh.data[t].Data, vals)
-		sh.mu.Unlock()
+		copy(s.data[t].Data, vals)
 	}
-	for sh := range s.shards {
-		if ck.Shards[sh].Empty() {
-			continue
-		}
-		st, ok := s.shards[sh].opt.(optim.Stateful)
+	if st := ck.Shards[0]; !st.Empty() {
+		so, ok := s.opt.(optim.Stateful)
 		if !ok {
-			return 0, fmt.Errorf("ps: checkpoint carries %q optimizer state for shard %d but the outer optimizer cannot restore state", ck.Shards[sh].Name, sh)
+			return 0, fmt.Errorf("ps: checkpoint carries %q optimizer state but the outer optimizer cannot restore state", st.Name)
 		}
-		params := s.shardParams(sh)
-		s.shards[sh].mu.Lock()
-		err := st.RestoreState(params, ck.Shards[sh])
-		s.shards[sh].mu.Unlock()
-		if err != nil {
-			return 0, fmt.Errorf("ps: restore shard %d optimizer: %w", sh, err)
+		if err := so.RestoreState(s.data, st); err != nil {
+			return 0, fmt.Errorf("ps: restore outer optimizer: %w", err)
 		}
 	}
 	s.seqMu.Lock()

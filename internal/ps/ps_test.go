@@ -34,6 +34,21 @@ func replicaFactory(ds *data.Dataset) func() models.Model {
 	}
 }
 
+// train runs TrainWithStore against one bare in-process Server — the
+// single-server reference the deployment tests compare against. ckpt,
+// when non-empty, is the server's checkpoint path.
+func train(factory func() models.Model, ds *data.Dataset, opts Options, ckpt string) *Result {
+	opts = opts.WithDefaults()
+	serving := factory()
+	s := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), opts.OuterOpt, opts.OuterLR)
+	s.SetMetrics(opts.Metrics)
+	s.SetTracer(opts.Tracer)
+	if ckpt != "" {
+		s.SetCheckpointPath(ckpt)
+	}
+	return TrainWithStore(factory, serving, s, s, ds, opts)
+}
+
 func TestLayoutOf(t *testing.T) {
 	params := []*autograd.Tensor{
 		autograd.ParamZeros(500, 4), // embedding table for field 0
@@ -127,7 +142,7 @@ func TestServerPullDenseExcludesEmbeddings(t *testing.T) {
 		autograd.ParamZeros(500, 4),
 		autograd.Param(2, 2, []float64{1, 2, 3, 4}),
 	}
-	s := NewServer(params, map[int]int{0: 0}, 2, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 	dense := s.PullDense(context.Background())
 	if _, has := dense[0]; has {
 		t.Fatal("embedding tensor returned by PullDense")
@@ -139,7 +154,7 @@ func TestServerPullDenseExcludesEmbeddings(t *testing.T) {
 
 func TestServerPullRowsLatestValues(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 2)}
-	s := NewServer(params, map[int]int{0: 0}, 1, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 	s.PushDelta(context.Background(), Delta{
 		Rows:      map[int][]int{0: {7}},
 		RowDeltas: map[int][][]float64{0: {{1.5, -2}}},
@@ -154,7 +169,7 @@ func TestServerPullRowsLatestValues(t *testing.T) {
 }
 
 func TestServerPullRowsOnDensePanics(t *testing.T) {
-	s := NewServer([]*autograd.Tensor{autograd.ParamZeros(2, 2)}, nil, 1, "sgd", 1)
+	s := NewServer([]*autograd.Tensor{autograd.ParamZeros(2, 2)}, nil, "sgd", 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -165,7 +180,7 @@ func TestServerPullRowsOnDensePanics(t *testing.T) {
 
 func TestServerOuterUpdateAppliesBeta(t *testing.T) {
 	params := []*autograd.Tensor{autograd.Param(1, 2, []float64{0, 0})}
-	s := NewServer(params, nil, 1, "sgd", 0.5)
+	s := NewServer(params, nil, "sgd", 0.5)
 	s.PushDelta(context.Background(), Delta{Dense: map[int][]float64{0: {2, -4}}})
 	snap := s.Snapshot()
 	// Eq. 3: θ += β * delta = 0.5 * [2, -4].
@@ -176,7 +191,7 @@ func TestServerOuterUpdateAppliesBeta(t *testing.T) {
 
 func TestServerAdagradStatePersistsAcrossPushes(t *testing.T) {
 	params := []*autograd.Tensor{autograd.Param(1, 1, []float64{0})}
-	s := NewServer(params, nil, 1, "adagrad", 1)
+	s := NewServer(params, nil, "adagrad", 1)
 	s.PushDelta(context.Background(), Delta{Dense: map[int][]float64{0: {1}}})
 	v1 := s.Snapshot()[0][0]
 	s.PushDelta(context.Background(), Delta{Dense: map[int][]float64{0: {1}}})
@@ -188,7 +203,7 @@ func TestServerAdagradStatePersistsAcrossPushes(t *testing.T) {
 
 func TestCountersTally(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 2), autograd.ParamZeros(1, 3)}
-	s := NewServer(params, map[int]int{0: 0}, 1, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 	s.PullDense(context.Background())
 	s.PullRows(context.Background(), 0, []int{1, 2, 3})
 	s.PushDelta(context.Background(), Delta{Dense: map[int][]float64{1: {0, 0, 0}}})
@@ -203,7 +218,7 @@ func TestCountersTally(t *testing.T) {
 
 func TestDensePushCounterIgnoresRowOnlyAndEmptyPushes(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 2), autograd.ParamZeros(1, 3)}
-	s := NewServer(params, map[int]int{0: 0}, 1, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 
 	// A push carrying only embedding rows must not count as a dense push.
 	s.PushDelta(context.Background(), Delta{
@@ -224,9 +239,9 @@ func TestDensePushCounterIgnoresRowOnlyAndEmptyPushes(t *testing.T) {
 
 func TestDistributedTrainingLearns(t *testing.T) {
 	ds := testDataset(t)
-	res := Train(replicaFactory(ds), ds, Options{
+	res := train(replicaFactory(ds), ds, Options{
 		Workers: 2, Epochs: 20, Seed: 9, CacheEnabled: true,
-	})
+	}, "")
 	auc := framework.MeanAUC(res.State, ds, data.Test)
 	if auc < 0.55 {
 		t.Fatalf("distributed DN test AUC = %.4f, want > 0.55", auc)
@@ -238,9 +253,9 @@ func TestDistributedTrainingLearns(t *testing.T) {
 
 func TestDistributedWithDRPopulatesSpecifics(t *testing.T) {
 	ds := testDataset(t)
-	res := Train(replicaFactory(ds), ds, Options{
+	res := train(replicaFactory(ds), ds, Options{
 		Workers: 2, Epochs: 3, Seed: 9, CacheEnabled: true, UseDR: true,
-	})
+	}, "")
 	if len(res.State.Specific) != ds.NumDomains() {
 		t.Fatalf("specifics = %d, want %d", len(res.State.Specific), ds.NumDomains())
 	}
@@ -267,11 +282,11 @@ func TestCacheReducesSyncOverhead(t *testing.T) {
 
 	optsOn := opts
 	optsOn.CacheEnabled = true
-	withCache := Train(replicaFactory(ds), ds, optsOn)
+	withCache := train(replicaFactory(ds), ds, optsOn, "")
 
 	optsOff := opts
 	optsOff.CacheEnabled = false
-	withoutCache := Train(replicaFactory(ds), ds, optsOff)
+	withoutCache := train(replicaFactory(ds), ds, optsOff, "")
 
 	on := withCache.Counters.FloatsMoved
 	off := withoutCache.Counters.FloatsMoved
@@ -283,7 +298,7 @@ func TestCacheReducesSyncOverhead(t *testing.T) {
 
 func TestWorkerCountCappedByDomains(t *testing.T) {
 	ds := testDataset(t)
-	res := Train(replicaFactory(ds), ds, Options{Workers: 32, Epochs: 1, Seed: 9, CacheEnabled: true})
+	res := train(replicaFactory(ds), ds, Options{Workers: 32, Epochs: 1, Seed: 9, CacheEnabled: true}, "")
 	if res.State == nil {
 		t.Fatal("training failed with more workers than domains")
 	}
@@ -291,7 +306,7 @@ func TestWorkerCountCappedByDomains(t *testing.T) {
 
 func TestConcurrentPushesAreSafe(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(200, 4), autograd.ParamZeros(4, 4)}
-	s := NewServer(params, map[int]int{0: 0}, 2, "sgd", 0.1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 0.1)
 	done := make(chan struct{})
 	for w := 0; w < 8; w++ {
 		go func(w int) {
@@ -324,7 +339,7 @@ func TestRPCTransportEndToEnd(t *testing.T) {
 	// Adagrad's first steps move each coordinate by the full learning
 	// rate regardless of delta magnitude, so the outer rate stays at the
 	// low end of the paper's industrial range [0.1, 1].
-	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), 2, "adagrad", 0.1)
+	server := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "adagrad", 0.1)
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -379,7 +394,7 @@ func TestWideMLPSyncsAllTensors(t *testing.T) {
 	init := paramvec.Snapshot(probe.Parameters())
 	layout := LayoutOf(probe.Parameters(), models.EmbeddingTablesOf(probe))
 
-	res := Train(factory, ds, Options{Workers: 2, Epochs: 20, Seed: 9, CacheEnabled: true})
+	res := train(factory, ds, Options{Workers: 2, Epochs: 20, Seed: 9, CacheEnabled: true}, "")
 
 	// Every managed tensor — dense or embedding — must have moved away
 	// from initialization in the PS snapshot.
@@ -414,7 +429,7 @@ func TestWideMLPSyncsAllTensors(t *testing.T) {
 func TestWorkerLayoutMismatchPanics(t *testing.T) {
 	ds := testDataset(t)
 	serving := replicaFactory(ds)()
-	store := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), 1, "sgd", 0.5)
+	store := NewServer(serving.Parameters(), models.EmbeddingTablesOf(serving), "sgd", 0.5)
 
 	// A structurally different replica (wider hidden layers).
 	other := models.MustNew("mlp", models.Config{Dataset: ds, EmbDim: 4, Hidden: []int{24, 8}, Seed: 5})

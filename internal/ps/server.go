@@ -1,8 +1,9 @@
 // Package ps implements the paper's large-scale PS-Worker architecture
-// (Section IV-E): sharded parameter servers storing the model, workers
+// (Section IV-E): parameter servers storing the model, workers
 // computing MAMDR's inner loops locally, and the embedding PS-Worker
 // cache (static-cache + dynamic-cache) that reduces synchronization
-// overhead and staleness for large sparse embedding tables.
+// overhead and staleness for large sparse embedding tables. Plan
+// partitions the model across servers; each Server holds one slice.
 //
 // The in-process Server and the net/rpc transport expose the same Store
 // interface, so the worker code is identical whether the parameter
@@ -151,15 +152,22 @@ type Delta struct {
 	Seq      int64
 }
 
-// Server is the in-process parameter server. Tensors are partitioned
-// into shards, each guarded by its own mutex, so pushes from different
-// workers proceed concurrently exactly as in a multi-machine PS
-// deployment (the paper uses 40 parameter servers).
+// Server is the in-process parameter server for one slice of the
+// model: every tensor it holds sits behind a single mutex and is
+// stepped by a single outer optimizer. Partitioning the parameter space
+// across servers — the paper's 40 parameter servers — is ps.Plan's job
+// (see internal/cluster); a 1-shard plan puts the whole model on one
+// Server.
 type Server struct {
 	layout Layout
-	shards []*shard
-	// shardOf[t] locates tensor t's shard.
-	shardOf []int
+
+	mu sync.Mutex
+	// data holds each tensor as a persistent autograd parameter so the
+	// outer optimizer's per-tensor state (Adagrad accumulators, Adam
+	// moments) survives across pushes.
+	data []*autograd.Tensor
+	opt  optim.Optimizer
+	lr   float64 // outer learning rate β
 
 	counters struct {
 		densePulls, densePushes, rowPulls, rowPushes, floats int64
@@ -175,7 +183,7 @@ type Server struct {
 
 	// seqMu guards lastSeq, the per-worker last-applied push sequence
 	// that makes retried pushes idempotent (duplicates are discarded
-	// before touching any shard).
+	// before touching any tensor).
 	seqMu   sync.Mutex
 	lastSeq map[int]int64
 
@@ -201,48 +209,28 @@ func (s *Server) SetTracer(t *trace.Tracer) { s.tracer = t }
 // Tracer returns the attached tracer (nil when untraced).
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
-type shard struct {
-	mu sync.Mutex
-	// data holds each tensor as a persistent autograd parameter so the
-	// outer optimizer's per-tensor state (Adagrad accumulators, Adam
-	// moments) survives across pushes.
-	data map[int]*autograd.Tensor
-	opt  optim.Optimizer
-	lr   float64 // outer learning rate β
-}
-
-// NewServer builds a server over the given initial parameters, sharded
-// numShards ways. tables is the explicit embedding classification
+// NewServer builds a server over copies of the given initial
+// parameters. tables is the explicit embedding classification
 // (parameter index -> schema field; models.EmbeddingTablesOf supplies
 // it — nil means everything syncs densely). outerOpt ("sgd", "adagrad",
 // "adam") with learning rate beta performs the outer update of Eq. 3.
 // NewServer panics if the resulting layout fails Validate — a tensor
 // unreachable by both sync paths is a silent-desync bug, not a
 // recoverable condition.
-func NewServer(params []*autograd.Tensor, tables map[int]int, numShards int, outerOpt string, beta float64) *Server {
-	if numShards < 1 {
-		numShards = 1
-	}
+func NewServer(params []*autograd.Tensor, tables map[int]int, outerOpt string, beta float64) *Server {
 	layout := LayoutOf(params, tables)
 	if err := layout.Validate(-1); err != nil {
 		panic(err)
 	}
 	s := &Server{
 		layout:  layout,
-		shardOf: make([]int, len(params)),
+		data:    make([]*autograd.Tensor, len(params)),
+		opt:     optim.New(outerOpt, beta),
+		lr:      beta,
 		lastSeq: map[int]int64{},
 	}
-	for i := 0; i < numShards; i++ {
-		s.shards = append(s.shards, &shard{
-			data: map[int]*autograd.Tensor{},
-			opt:  optim.New(outerOpt, beta),
-			lr:   beta,
-		})
-	}
 	for i, p := range params {
-		sh := i % numShards
-		s.shardOf[i] = sh
-		s.shards[sh].data[i] = autograd.Param(p.Rows, p.Cols, append([]float64(nil), p.Data...))
+		s.data[i] = autograd.Param(p.Rows, p.Cols, append([]float64(nil), p.Data...))
 	}
 	return s
 }
@@ -255,17 +243,16 @@ func (s *Server) PullDense(ctx context.Context) map[int][]float64 {
 	_, sp := trace.Start(ctx, "ps.pull_dense")
 	out := map[int][]float64{}
 	var floats int
-	for t := 0; t < s.layout.NumTensors(); t++ {
+	s.mu.Lock()
+	for t, p := range s.data {
 		if s.layout.Embedding[t] {
 			continue
 		}
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		out[t] = append([]float64(nil), sh.data[t].Data...)
-		sh.mu.Unlock()
-		atomic.AddInt64(&s.counters.floats, int64(len(out[t])))
-		floats += len(out[t])
+		out[t] = append([]float64(nil), p.Data...)
+		floats += len(p.Data)
 	}
+	s.mu.Unlock()
+	atomic.AddInt64(&s.counters.floats, int64(floats))
 	atomic.AddInt64(&s.counters.densePulls, 1)
 	s.metrics.observeDensePull(floats)
 	sp.EndWith(trace.A("floats", floats))
@@ -280,21 +267,20 @@ func (s *Server) PullRows(ctx context.Context, tensor int, rows []int) [][]float
 	_, sp := trace.Start(ctx, "ps.pull_rows", trace.A("tensor", tensor), trace.A("rows", len(rows)))
 	defer sp.End()
 	cols := s.layout.Cols[tensor]
-	sh := s.shards[s.shardOf[tensor]]
 	out := make([][]float64, len(rows))
-	sh.mu.Lock()
-	table := sh.data[tensor].Data
+	s.mu.Lock()
+	table := s.data[tensor].Data
 	for i, r := range rows {
 		out[i] = append([]float64(nil), table[r*cols:(r+1)*cols]...)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	atomic.AddInt64(&s.counters.rowPulls, int64(len(rows)))
 	atomic.AddInt64(&s.counters.floats, int64(len(rows)*cols))
 	s.metrics.observeRowPull(tensor, len(rows), len(rows)*cols)
 	return out
 }
 
-// PushDelta implements Store. Dense tensors go through the shard's outer
+// PushDelta implements Store. Dense tensors go through the outer
 // optimizer (gradient = -delta); embedding rows are updated with plain
 // SGD at the outer learning rate, the standard choice for sparse slots.
 // DensePushes counts only pushes that actually carry dense deltas, so
@@ -323,36 +309,32 @@ func (s *Server) PushDelta(ctx context.Context, d Delta) {
 		atomic.AddInt64(&s.counters.densePushes, 1)
 		s.metrics.observeDensePush()
 	}
-	// Tensors are stepped in ascending index order, not map order: an
-	// outer optimizer with cross-tensor state (Adam's shared step
-	// counter) must see the same sequence every run for pushes to be
-	// reproducible.
+	// One push applies under one lock hold. Tensors are stepped in
+	// ascending index order, not map order: an outer optimizer with
+	// cross-tensor state (Adam's shared step counter) must see the same
+	// sequence every run for pushes to be reproducible.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, t := range sortedKeys(d.Dense) {
 		delta := d.Dense[t]
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		tensor := sh.data[t]
+		tensor := s.data[t]
 		for i, v := range delta {
 			tensor.Grad[i] = -v
 		}
-		sh.opt.Step([]*autograd.Tensor{tensor})
-		sh.mu.Unlock()
+		s.opt.Step([]*autograd.Tensor{tensor})
 		atomic.AddInt64(&s.counters.floats, int64(len(delta)))
 		s.metrics.observeDenseFloats(len(delta))
 	}
 	for _, t := range sortedKeys(d.Rows) {
 		rows := d.Rows[t]
 		cols := s.layout.Cols[t]
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		table := sh.data[t].Data
+		table := s.data[t].Data
 		for i, r := range rows {
 			dst := table[r*cols : (r+1)*cols]
 			for j, v := range d.RowDeltas[t][i] {
-				dst[j] += sh.lr * v
+				dst[j] += s.lr * v
 			}
 		}
-		sh.mu.Unlock()
 		atomic.AddInt64(&s.counters.rowPushes, int64(len(rows)))
 		atomic.AddInt64(&s.counters.floats, int64(len(rows)*cols))
 		s.metrics.observeRowPush(t, len(rows), len(rows)*cols)
@@ -384,12 +366,11 @@ func (s *Server) Counters() Counters {
 // Snapshot returns the server's current full parameter state aligned
 // with the original parameter list (used to evaluate the trained model).
 func (s *Server) Snapshot() paramvec.Vector {
-	out := make(paramvec.Vector, s.layout.NumTensors())
-	for t := 0; t < s.layout.NumTensors(); t++ {
-		sh := s.shards[s.shardOf[t]]
-		sh.mu.Lock()
-		out[t] = append([]float64(nil), sh.data[t].Data...)
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(paramvec.Vector, len(s.data))
+	for t, p := range s.data {
+		out[t] = append([]float64(nil), p.Data...)
 	}
 	return out
 }

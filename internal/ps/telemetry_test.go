@@ -20,7 +20,7 @@ import (
 // totals must be exact.
 func TestCountersRaceSafe(t *testing.T) {
 	params := []*autograd.Tensor{autograd.ParamZeros(200, 4), autograd.ParamZeros(4, 4)}
-	s := NewServer(params, map[int]int{0: 0}, 2, "sgd", 0.1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 0.1)
 	s.SetMetrics(NewMetrics(telemetry.New()))
 
 	const writers, iters = 8, 200
@@ -79,7 +79,7 @@ func TestCountersRaceSafe(t *testing.T) {
 func TestServerMetricsMirrorCounters(t *testing.T) {
 	reg := telemetry.New()
 	params := []*autograd.Tensor{autograd.ParamZeros(100, 2), autograd.ParamZeros(1, 3)}
-	s := NewServer(params, map[int]int{0: 0}, 1, "sgd", 1)
+	s := NewServer(params, map[int]int{0: 0}, "sgd", 1)
 	s.SetMetrics(NewMetrics(reg))
 
 	s.PullDense(context.Background())
@@ -123,10 +123,10 @@ func TestDistributedTrainingRecordsCacheAndStaleness(t *testing.T) {
 	m := NewMetrics(reg)
 	tm := framework.NewTrainMetrics(reg, ds, nil)
 
-	res := Train(replicaFactory(ds), ds, Options{
+	res := train(replicaFactory(ds), ds, Options{
 		Workers: 2, Epochs: 3, Seed: 9, CacheEnabled: true, UseDR: true,
 		Metrics: m, Telemetry: tm,
-	})
+	}, "")
 	if res.State == nil {
 		t.Fatal("training failed")
 	}
@@ -171,9 +171,9 @@ func TestNaiveProtocolHasLowHitRatio(t *testing.T) {
 	ds := testDataset(t)
 	run := func(cache bool) float64 {
 		m := NewMetrics(telemetry.New())
-		Train(replicaFactory(ds), ds, Options{
+		train(replicaFactory(ds), ds, Options{
 			Workers: 2, Epochs: 2, Seed: 9, CacheEnabled: cache, Metrics: m,
-		})
+		}, "")
 		return m.hitRatio.Value()
 	}
 	cached, naive := run(true), run(false)

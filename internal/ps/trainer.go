@@ -21,9 +21,6 @@ type Options struct {
 	// Workers is the number of concurrent worker replicas (the paper
 	// uses 400; benchmarks here use a handful).
 	Workers int
-	// Shards is the number of parameter-server shards (the paper's 40
-	// parameter servers).
-	Shards int
 	// CacheEnabled toggles the embedding PS-Worker cache of §IV-E.
 	CacheEnabled bool
 	// OuterOpt/OuterLR configure the PS-side outer update (the paper's
@@ -65,13 +62,11 @@ type Options struct {
 	// watchdog (worker panics are still supervised and redistributed).
 	HeartbeatTimeout time.Duration
 
-	// CheckpointPath, when set (with Train), configures the in-process
-	// server's checkpoint location. CheckpointEvery writes a server
-	// checkpoint every N completed epochs (0 disables; any value
-	// requires the store to implement CheckpointStore). Resume restores
-	// the store's last checkpoint before training and skips the epochs
-	// it already covers.
-	CheckpointPath  string
+	// CheckpointEvery writes a store checkpoint every N completed
+	// epochs (0 disables; any value requires the store to implement
+	// CheckpointStore, whose servers carry their own checkpoint paths).
+	// Resume restores the store's last checkpoint before training and
+	// skips the epochs it already covers.
 	CheckpointEvery int
 	Resume          bool
 
@@ -95,9 +90,6 @@ type Options struct {
 func (o Options) WithDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 4
-	}
-	if o.Shards == 0 {
-		o.Shards = 4
 	}
 	if o.OuterOpt == "" {
 		o.OuterOpt = "sgd"
@@ -141,27 +133,6 @@ type Result struct {
 	ResumedFrom int
 }
 
-// Train runs distributed MAMDR: a parameter server initialized from one
-// replica, Workers concurrent workers running DN inner loops over
-// disjoint domain partitions with asynchronous pushes, and (optionally)
-// a Domain Regularization phase for the specific parameters. replica
-// must return structurally identical models (same Config including
-// Seed); one replica is built per worker plus one for serving.
-func Train(replica func() models.Model, ds *data.Dataset, opts Options) *Result {
-	opts = opts.WithDefaults()
-	serving := replica()
-	// The model declares which of its tensors are embedding tables;
-	// everything else synchronizes densely. No row-count guessing.
-	tables := models.EmbeddingTablesOf(serving)
-	server := NewServer(serving.Parameters(), tables, opts.Shards, opts.OuterOpt, opts.OuterLR)
-	server.SetMetrics(opts.Metrics)
-	server.SetTracer(opts.Tracer)
-	if opts.CheckpointPath != "" {
-		server.SetCheckpointPath(opts.CheckpointPath)
-	}
-	return TrainWithStore(replica, serving, server, server, ds, opts)
-}
-
 // supervisedWorker is the trainer's view of one worker: its liveness
 // clock, its supervisor-controlled context, and whether it has been
 // declared dead.
@@ -177,9 +148,17 @@ type death struct {
 	cause  any
 }
 
-// TrainWithStore is Train against an arbitrary Store (e.g. an RPC
-// client); server-side counters are read from counterSrc, which may be
-// nil when the caller tracks them elsewhere.
+// TrainWithStore runs distributed MAMDR against store: Workers
+// concurrent workers run DN inner loops over disjoint domain partitions
+// (pushes asynchronous, or deferred with SyncPush), then an optional
+// Domain Regularization phase trains the specific parameters. replica
+// must return structurally identical models (same Config including
+// Seed); one is built per worker, and serving — whose parameters
+// initialized the store — becomes the trained state's model. The store
+// is usually a cluster.Router over one or more ps.Server shards (a
+// bare Server or RPC Client works too); server-side counters are read
+// from counterSrc, which may be nil when the caller tracks them
+// elsewhere.
 //
 // Fault tolerance: each epoch runs under supervision — a worker that
 // panics (a push that exhausted its retries, an injected fault, a

@@ -21,16 +21,17 @@ func (s *Server) shedReason(pending int64) string {
 }
 
 // admissionVerdict is the pure shed policy: requests beyond the
-// replica pool queue; a queue past MaxQueue sheds ("queue_full"), and
-// even inside it, a queue whose projected drain time already exceeds
-// the request deadline sheds now ("deadline") — waiting would only
-// turn a fast 503 into a slow one.
+// replica pool queue; with maxQueue > 0 a queue past it sheds
+// ("queue_full"), and any queue whose projected drain time already
+// exceeds the request deadline sheds now ("deadline") — waiting would
+// only turn a fast 503 into a slow one. maxQueue <= 0 leaves the
+// deadline shed as the only bound.
 func admissionVerdict(pending int64, replicas, maxQueue int, svc, deadline time.Duration) string {
 	queued := int(pending) - replicas
 	if queued <= 0 {
 		return ""
 	}
-	if queued > maxQueue {
+	if maxQueue > 0 && queued > maxQueue {
 		return "queue_full"
 	}
 	if svc > 0 && replicas > 0 && time.Duration(queued)*svc/time.Duration(replicas) > deadline {

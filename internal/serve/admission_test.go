@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,6 +31,8 @@ func TestAdmissionVerdict(t *testing.T) {
 		{"slow service but short queue", 3, 2, 4, 100 * ms, 100 * ms, ""},
 		{"no service estimate disables deadline", 5, 2, 8, 0, ms, ""},
 		{"single replica deadline", 3, 1, 8, 10 * ms, 15 * ms, "deadline"},
+		{"no fixed bound admits a deep fast queue", 100, 2, 0, 0, 100 * ms, ""},
+		{"no fixed bound still sheds past the deadline", 100, 2, 0, ms, 10 * ms, "deadline"},
 	}
 	for _, c := range cases {
 		if got := admissionVerdict(c.pending, c.replicas, c.maxQueue, c.svc, c.deadline); got != c.want {
@@ -85,6 +88,26 @@ func TestObserveServiceTimeBatchOccupancy(t *testing.T) {
 	z.observeServiceTime(5*time.Millisecond, 0)
 	if got := z.serviceTime(); got != 5*time.Millisecond {
 		t.Fatalf("occupancy 0 clamps to 1: got %v, want 5ms", got)
+	}
+}
+
+// TestDefaultAdmissionShedsNoLightLoad: a server built with New(st, ds)
+// must absorb light concurrent load. Its queue has no fixed bound, so
+// a burst of 8 clients sheds nothing, and even a deep queue is admitted
+// while its projected drain time stays inside the request deadline.
+func TestDefaultAdmissionShedsNoLightLoad(t *testing.T) {
+	st, ds, _ := testState(t)
+	s := New(st, ds)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	if failures := concurrentPredicts(srv.URL, 8, 20); len(failures) > 0 {
+		t.Fatalf("default admission failed %d of 8 clients:\n%s", len(failures), strings.Join(failures, "\n"))
+	}
+
+	s.pending.Add(64)
+	defer s.pending.Add(-64)
+	if w := postJSON(t, s.Handler(), "/predict", PredictRequest{Domain: 0, Users: []int{0}, Items: []int{0}}); w.Code != http.StatusOK {
+		t.Fatalf("predict behind a 64-deep fast queue = %d: %s", w.Code, w.Body)
 	}
 }
 

@@ -121,10 +121,12 @@ type Options struct {
 	// UpstreamBackoff paces upstream probes while the breaker is open
 	// (zero value takes the ps package defaults).
 	UpstreamBackoff ps.Backoff
-	// MaxQueue bounds how many admitted predictions may wait for a
-	// replica beyond the ones executing; requests past it are shed
+	// MaxQueue, when > 0, bounds how many admitted predictions may wait
+	// for a replica beyond the ones executing; requests past it are shed
 	// immediately (503 + jittered Retry-After) instead of piling onto
-	// the pool. Default 4×Replicas.
+	// the pool. 0 (the default) sets no fixed bound: the deadline shed
+	// alone — queue depth × measured service time past RequestTimeout —
+	// limits the queue.
 	MaxQueue int
 	// ShedSeed seeds the Retry-After jitter (default 1): deterministic
 	// under test, spread out enough that a synchronized client herd
@@ -191,9 +193,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
-	}
-	if o.MaxQueue <= 0 {
-		o.MaxQueue = 4 * o.Replicas
 	}
 	if o.ShedSeed == 0 {
 		o.ShedSeed = 1

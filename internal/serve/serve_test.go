@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -416,36 +418,50 @@ func TestAccessLogEmitsRequestIDs(t *testing.T) {
 	}
 }
 
-func TestConcurrentPredicts(t *testing.T) {
-	s, _ := testServer(t)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 8; g++ {
+// concurrentPredicts fires clients×reqs /predict calls at url from
+// clients goroutines and returns every non-200 answer as its status
+// and body, so a failing test says why.
+func concurrentPredicts(url string, clients, reqs int) []string {
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		failures []string
+	)
+	fail := func(msg string) {
+		mu.Lock()
+		failures = append(failures, msg)
+		mu.Unlock()
+	}
+	for g := 0; g < clients; g++ {
 		wg.Add(1)
 		go func(domain int) {
 			defer wg.Done()
 			body, _ := json.Marshal(PredictRequest{Domain: domain % 2, Users: []int{0, 1}, Items: []int{1, 0}})
-			for i := 0; i < 20; i++ {
-				resp, err := http.Post(srv.URL+"/predict", "application/json", bytes.NewReader(body))
+			for i := 0; i < reqs; i++ {
+				resp, err := http.Post(url+"/predict", "application/json", bytes.NewReader(body))
 				if err != nil {
-					errs <- err
+					fail(err.Error())
 					return
 				}
+				got, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					errs <- nil
+					fail(fmt.Sprintf("client %d request %d: %d %s", domain, i, resp.StatusCode, bytes.TrimSpace(got)))
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	close(errs)
-	if _, bad := <-errs; bad {
-		t.Fatal("concurrent predicts failed")
+	return failures
+}
+
+func TestConcurrentPredicts(t *testing.T) {
+	s, _ := testServer(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	if failures := concurrentPredicts(srv.URL, 8, 20); len(failures) > 0 {
+		t.Fatalf("%d of 8 clients failed:\n%s", len(failures), strings.Join(failures, "\n"))
 	}
 }
 
